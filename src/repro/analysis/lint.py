@@ -63,15 +63,6 @@ suite depends on but cannot easily assert:
     deliberate raw reads (e.g. migration sources whose result
     re-enters the verified path) carry pragmas.
 
-``policy-stale-decision-cache``
-    Every write to a policy *decision* cache (a ``.put(...)`` on a
-    receiver whose name mentions ``decision``) must carry the store
-    epoch and the policy identity explicitly — as keywords or as
-    identifiers in the key arguments.  A decision memoized without
-    them survives ``put``/``put_policy`` and keeps granting (or
-    denying) against state that no longer exists; the epoch/hash key
-    is what makes staleness structurally unreachable.
-
 Suppression: ``# pesos: allow[rule-id]`` on the flagged line or the
 line above (see :mod:`repro.analysis.findings`).
 """
@@ -358,38 +349,6 @@ class _Visitor(ast.NodeVisitor):
                 "store's verified read path",
             )
 
-    # -- policy decision-cache writes --------------------------------------
-
-    def _check_decision_cache_write(self, node: ast.Call) -> None:
-        func = node.func
-        if not isinstance(func, ast.Attribute) or func.attr != "put":
-            return
-        receiver = _receiver_names(func.value)
-        if not any("decision" in name.lower() for name in receiver):
-            return
-        mentioned: set[str] = set()
-        for value in list(node.args) + [kw.value for kw in node.keywords]:
-            for inner in ast.walk(value):
-                if isinstance(inner, ast.Name):
-                    mentioned.add(inner.id.lower())
-                elif isinstance(inner, ast.Attribute):
-                    mentioned.add(inner.attr.lower())
-        mentioned.update(kw.arg.lower() for kw in node.keywords if kw.arg)
-        missing = [
-            part
-            for part in ("epoch", "policy")
-            if not any(part in name for name in mentioned)
-        ]
-        if missing:
-            self.report(
-                "policy-stale-decision-cache",
-                node,
-                "decision-cache write without an explicit "
-                f"{'/'.join(missing)} key: a memoized verdict outlives "
-                "put/put_policy and grants against state that no longer "
-                "exists; key the entry by (policy hash, epoch)",
-            )
-
     # -- telemetry labels --------------------------------------------------
 
     def _check_labels(self, node: ast.Call) -> None:
@@ -601,7 +560,6 @@ class _Visitor(ast.NodeVisitor):
         self._check_sgx_io(node)
         self._check_drive_bypass(node)
         self._check_unverified_meta_read(node)
-        self._check_decision_cache_write(node)
         self._check_labels(node)
         self._check_nonce_freshness(node)
         self.generic_visit(node)

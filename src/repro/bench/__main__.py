@@ -18,12 +18,6 @@ from repro.bench import experiments
 from repro.bench.report import save_figure
 
 
-def _run_policy() -> dict:
-    from repro.bench.policybench import run_policy_bench
-
-    return run_policy_bench()
-
-
 _RUNNERS = {
     "fig3": lambda: experiments.fig3_fig4()[0],
     "fig4": lambda: experiments.fig3_fig4()[1],
@@ -42,13 +36,12 @@ _RUNNERS = {
     "overload": experiments.overload_sweep,
     "freshness": experiments.freshness_overhead,
     "workload": experiments.workload_realism,
-    "policy": _run_policy,
 }
 
 _DEFAULT = [
     "fig3+4", "fig5", "fig6", "enc", "fig7", "fig8", "fig9", "fig10",
     "abl-syscalls", "abl-caches", "abl-epc", "concurrency", "overload",
-    "freshness", "workload", "policy",
+    "freshness", "workload",
 ]
 
 

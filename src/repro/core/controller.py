@@ -51,7 +51,6 @@ from repro.errors import (
 )
 from repro.kinetic.drive import KineticDrive, Role
 from repro.policy.binary import CompiledPolicy
-from repro.policy.compiled import PolicyEngine, compiled_form
 from repro.policy.compiler import compile_source
 from repro.policy.context import EvalContext, VersionInfo
 from repro.policy.interpreter import PolicyInterpreter
@@ -106,15 +105,6 @@ class ControllerConfig:
     #: requests are clamped, never refused (YCSB-E scan lengths are
     #: client-chosen, the enclave bounds its own work).
     max_scan_count: int = 1000
-    #: Evaluate policies through the compiled fast path
-    #: (:mod:`repro.policy.compiled`): per-policy specialized closures
-    #: fronted by a decision cache keyed on (policy hash, operation,
-    #: request shape, store epoch).  Decisions — and the audit chain
-    #: built from them — are identical either way; off means every
-    #: check walks the binary-format interpreter.
-    compile_policies: bool = True
-    #: Bound on memoized policy decisions (per controller).
-    decision_cache_entries: int = 4096
     #: Root object/policy metadata in an authenticated dictionary
     #: pinned by a sealed monotonic counter
     #: (:mod:`repro.core.freshness`): reads verify Merkle proofs
@@ -209,14 +199,8 @@ class PesosController:
         self.sessions = SessionManager(self.config.session_expiry)
         self.async_tracker = AsyncTracker()
         self.interpreter = PolicyInterpreter()
-        #: Compiled-closure fast path + decision cache; None means every
-        #: check goes through ``self.interpreter`` directly.
+        #: Always None; kept because ``perfbench/`` reads it per trial.
         self.policy_engine = None
-        if self.config.compile_policies:
-            self.policy_engine = PolicyEngine(
-                interpreter=self.interpreter,
-                cache_entries=self.config.decision_cache_entries,
-            )
         #: Tamper-evident policy-decision trail (``GET /_audit``).
         #: Enabled by config, not by telemetry: the chain is a security
         #: artifact and must exist (and stay deterministic) even when
@@ -542,26 +526,6 @@ class PesosController:
                 ),
             ],
         )
-        if self.policy_engine is not None:
-            stats = self.policy_engine.decisions.stats
-            yield MetricFamily(
-                name="pesos_policy_decision_cache_events_total",
-                kind="counter",
-                help="Decision-cache events on the policy fast path.",
-                samples=[
-                    Sample(
-                        "pesos_policy_decision_cache_events_total",
-                        {"event": event},
-                        value,
-                    )
-                    for event, value in (
-                        ("hit", stats.hits),
-                        ("miss", stats.misses),
-                        ("expired", stats.expired),
-                        ("invalidated", stats.invalidations),
-                    )
-                ],
-            )
         yield MetricFamily(
             name="pesos_async_completed_after_evict_total",
             kind="counter",
@@ -687,18 +651,11 @@ class PesosController:
     ) -> None:
         if policy is None or not self.config.enforce_policies:
             return
-        engine = self.policy_engine
         if self.telemetry.enabled:
             started = _time.perf_counter()
             with self.telemetry.span("policy.check", operation=operation):
-                decision = (
-                    engine.evaluate(policy, operation, ctx)
-                    if engine is not None
-                    else self.interpreter.evaluate(policy, operation, ctx)
-                )
+                decision = self.interpreter.evaluate(policy, operation, ctx)
             self._h_policy_check.observe(_time.perf_counter() - started)
-        elif engine is not None:
-            decision = engine.evaluate(policy, operation, ctx)
         else:
             decision = self.interpreter.evaluate(policy, operation, ctx)
         self.effects.record(POLICY_CHECK, decision.predicates_evaluated)
@@ -715,45 +672,6 @@ class PesosController:
             raise PolicyDenied(
                 f"policy denies {operation} on {ctx.this_id or ctx.log_id}"
             )
-
-    def prewarm_policy_batch(self, items: list, now: float) -> int:
-        """Seed the decision cache for a batch of parsed read requests.
-
-        ``items`` is ``(request, fingerprint)`` pairs.  Requests are
-        grouped by governing policy and each group is evaluated in one
-        pass over the compiled form (``FastPolicy.evaluate_batch``);
-        the per-request path then serves the decisions from the cache,
-        recording effects and audit records exactly as if it had
-        evaluated inline.
-
-        Strictly effect-free on misses: only requests whose session,
-        metadata, and policy are already resident (peeked, not fetched
-        — no effects events, no store reads) and whose policy never
-        reads object state are warmed.  Everything else simply takes
-        the normal path.
-        """
-        engine = self.policy_engine
-        if engine is None or not self.config.enforce_policies:
-            return 0
-        groups: dict = {}
-        for request, fingerprint in items:
-            if request.method not in ("get", "attest"):
-                continue
-            session = self.sessions.peek(fingerprint, now=now)
-            if session is None:
-                continue
-            meta = self.caches.keys.get(request.key)
-            if meta is None or not meta.exists or not meta.policy_id:
-                continue
-            policy = self.caches.policies.get(meta.policy_id)
-            if policy is None or not compiled_form(policy).cacheable:
-                continue
-            ctx = self._build_context("read", request, session, meta, now)
-            groups.setdefault(id(policy), (policy, []))[1].append(ctx)
-        warmed = 0
-        for policy, contexts in groups.values():
-            warmed += engine.prewarm(policy, "read", contexts)
-        return warmed
 
     # ------------------------------------------------------------------
     # Object operations
@@ -802,11 +720,6 @@ class PesosController:
 
         meta.policy_id = bound_policy_id
         self.store.store_version(meta, request.value, bound_hash)
-        if self.policy_engine is not None:
-            # Store state changed: decisions cached under the old epoch
-            # (none of which read object state, but the epoch is the
-            # blanket invariant) become unreachable.
-            self.policy_engine.advance_epoch()
         self.caches.put_meta(request.key, meta)
         self.caches.put_object(
             f"{request.key}@{meta.current_version}", request.value
@@ -940,8 +853,6 @@ class PesosController:
             ctx = self._build_context("delete", request, session, meta, now)
             self._check_policy("delete", policy, ctx)
         self.store.delete_object(meta)
-        if self.policy_engine is not None:
-            self.policy_engine.advance_epoch()
         self.caches.invalidate_meta(request.key)
         for version in meta.versions:
             self.caches.invalidate_object(f"{request.key}@{version}")
@@ -1029,13 +940,6 @@ class PesosController:
         policy_id = policy.policy_hash()
         self.store.write_policy(policy_id, policy.to_bytes())
         self.caches.put_policy(policy_id, policy)
-        if self.policy_engine is not None:
-            # Policy ids are content hashes, so a re-put can never alias
-            # different text under a cached decision — but invalidating
-            # here keeps the cache honest by construction rather than by
-            # that global argument.
-            self.policy_engine.invalidate_policy(policy_id)
-            self.policy_engine.advance_epoch()
         response = Response(status=200, policy_id=policy_id)
         if self.config.verify_policies:
             # Static verification is advisory at PUT time: an

@@ -110,18 +110,6 @@ class SessionManager:
         self.created += 1
         return session
 
-    def peek(self, fingerprint: str, *, now: float) -> Session | None:
-        """A live session, or None — with zero side effects.
-
-        Unlike :meth:`lookup` this neither expires nor touches state,
-        so speculative paths (policy-decision prewarming) can consult
-        sessions without perturbing eviction or the counters.
-        """
-        session = self._sessions.get(fingerprint)
-        if session is None or now - session.last_active > self.expiry_seconds:
-            return None
-        return session
-
     def lookup(self, fingerprint: str, *, now: float) -> Session:
         """Fetch an existing live session or raise."""
         session = self._sessions.get(fingerprint)

@@ -34,12 +34,6 @@ from repro.policy.ast import (
     Value,
 )
 from repro.policy.binary import CompiledPolicy
-from repro.policy.compiled import (
-    DecisionCache,
-    FastPolicy,
-    PolicyEngine,
-    compiled_form,
-)
 from repro.policy.compiler import compile_policy, compile_source
 from repro.policy.context import EvalContext, ObjectView
 from repro.policy.interpreter import PolicyInterpreter
@@ -48,11 +42,7 @@ from repro.policy.render import explain_policy, render_policy
 
 __all__ = [
     "CompiledPolicy",
-    "DecisionCache",
     "EvalContext",
-    "FastPolicy",
-    "PolicyEngine",
-    "compiled_form",
     "HashValue",
     "IntValue",
     "ObjectView",

@@ -1,821 +1,16 @@
-"""The policy fast path: compiled closures, decision cache, batching.
+"""A named entry point onto the interpreter, kept for ``perfbench/``.
 
-Three layers, each preserving the interpreter's observable behaviour
-bit for bit (``Decision.clause_path``, ``predicates_evaluated``, the
-bindings snapshot — and therefore the audit chain):
-
-``compiled_form``
-    Partially evaluates a :class:`~repro.policy.binary.CompiledPolicy`
-    into per-clause lists of specialized Python closures.  Constant
-    subexpressions fold at compile time; a conjunct whose arguments are
-    all constants and whose predicate is context-free collapses to a
-    known boolean; runs of constant-true conjuncts become a single
-    predicate-count bump; a constant-false conjunct (with only constant
-    conjuncts before it) turns the whole clause into an exact
-    count-and-fail, stripping the dead tail.  Dead-disjunct facts are
-    cross-checked against what :mod:`repro.analysis.policy_verify`
-    proves statically.  Anything the compiler cannot model exactly
-    (malformed slots, unknown constructs) falls back to delegating the
-    whole policy to the interpreter — the fallback *is* the oracle, so
-    behaviour cannot drift.
-
-``DecisionCache``
-    Memoizes decisions keyed by ``(policy_hash, operation, request
-    shape, epoch)``.  The epoch advances on every mutation the
-    controller applies, ``put_policy`` additionally invalidates by
-    policy hash, and entries carry a ``valid_until`` derived from the
-    certificate validity windows and the policy's freshness constants,
-    so time-based release never serves a stale verdict.  Only
-    decisions for policies that never read object state are cached
-    (their outcome is a pure function of the request shape); object
-    predicates always re-evaluate so their cache/store access pattern
-    — which the effects ledger records — is unchanged.
-
-``FastPolicy.evaluate_batch``
-    Evaluates many contexts against one compiled policy clause-major:
-    each clause's closures sweep all still-undecided contexts before
-    the next clause runs, which keeps the compiled ops hot.  Per
-    context the work, the order of predicate side effects, and the
-    resulting :class:`Decision` are identical to sequential calls.
+``perfbench/tracing.py`` imports :class:`PolicyEngine` and wraps its
+``evaluate``; nothing in the package calls it.
 """
 
-from __future__ import annotations
+from repro.policy.interpreter import PolicyInterpreter
 
-from collections import OrderedDict
-from dataclasses import dataclass, field
-
-from repro.crypto.certs import Certificate
-from repro.errors import PesosError, PolicyFormatError
-from repro.policy.ast import IntValue, NullValue, PubKeyValue, StrValue
-from repro.policy.binary import CompiledPolicy
-from repro.policy.context import EvalContext
-from repro.policy.evalcore import Bindings, EvalError, TuplePattern
-from repro.policy.interpreter import Decision, PolicyInterpreter
-from repro.policy.predicates import predicate_by_opcode
-
-#: Opcodes whose implementations consult object state (``ctx.view`` /
-#: ``ctx.version_info``): currVersion, objSize, objPolicy, objHash,
-#: objSays, currIndex.  ``objId`` (20) and ``nextVersion``/``nextIndex``
-#: only look at the evaluated arguments and the request.
-_OBJECT_OPCODES = frozenset({21, 23, 24, 25, 26, 27})
-
-#: Predicates that are pure functions of their (ground) arguments, so a
-#: conjunct applying one to constants collapses at compile time.
-_CONTEXT_FREE = frozenset({"eq", "le", "lt", "ge", "gt"})
-
-_CERTIFICATE_SAYS = 10
-_SESSION_KEY_IS = 11
-
-
-class _CompileFallback(Exception):
-    """Internal: this policy cannot be compiled exactly; delegate."""
-
-
-# ---------------------------------------------------------------------------
-# Expression compilation
-# ---------------------------------------------------------------------------
-
-def _compile_expr(expr, policy: CompiledPolicy):
-    """Compile an argument expression tree.
-
-    Returns ``("const", value)`` when the expression is a compile-time
-    constant, else ``("dyn", fn)`` with ``fn(ctx, bindings) -> value``
-    reproducing the interpreter's evaluation (including which
-    exceptions it raises, and when).
-    """
-    if not isinstance(expr, (list, tuple)) or not expr:
-        raise _CompileFallback(f"malformed expression {expr!r}")
-    kind = expr[0]
-    if kind == "c":
-        try:
-            return ("const", policy.constants[expr[1]])
-        except (IndexError, TypeError) as exc:
-            raise _CompileFallback(str(exc)) from exc
-    if kind == "v":
-        slot = expr[1]
-        if not isinstance(slot, int) or not 0 <= slot < len(policy.variables):
-            raise _CompileFallback(f"variable slot {slot!r} out of range")
-        return ("dyn", lambda ctx, bindings, _slot=slot: bindings.lookup(_slot))
-    if kind == "r":
-        name = expr[1]
-
-        def deref(ctx, bindings, _name=name):
-            object_id = ctx.resolve_ref(_name)
-            return NullValue() if object_id is None else StrValue(object_id)
-
-        return ("dyn", deref)
-    if kind == "a":
-        return _compile_arith(expr, policy)
-    if kind == "t":
-        return _compile_tuple(expr, policy)
-
-    # The interpreter raises PolicyFormatError when it *evaluates* an
-    # unknown kind — i.e. only if the clause gets that far.
-    def unknown(ctx, bindings, _kind=kind):
-        raise PolicyFormatError(f"unknown expression kind {_kind!r}")
-
-    return ("dyn", unknown)
-
-
-def _compile_arith(expr, policy: CompiledPolicy):
-    op = expr[1]
-    left = _compile_expr(expr[2], policy)
-    right = _compile_expr(expr[3], policy)
-    if left[0] == "const" and right[0] == "const" and op in ("+", "-"):
-        lv, rv = left[1], right[1]
-        if isinstance(lv, IntValue) and isinstance(rv, IntValue):
-            folded = lv.value + rv.value if op == "+" else lv.value - rv.value
-            return ("const", IntValue(folded))
-
-        # Constants of the wrong type: every evaluation raises the same
-        # structural error, failing (only) the enclosing clause.
-        def bad_types(ctx, bindings):
-            raise EvalError("arithmetic needs bound integers")
-
-        return ("dyn", bad_types)
-
-    lf = _as_fn(left)
-    rf = _as_fn(right)
-
-    def arith(ctx, bindings, _op=op, _lf=lf, _rf=rf):
-        lv = _lf(ctx, bindings)
-        rv = _rf(ctx, bindings)
-        if not isinstance(lv, IntValue) or not isinstance(rv, IntValue):
-            raise EvalError("arithmetic needs bound integers")
-        if _op == "+":
-            return IntValue(lv.value + rv.value)
-        if _op == "-":
-            return IntValue(lv.value - rv.value)
-        raise PolicyFormatError(f"unknown arithmetic op {_op!r}")
-
-    return ("dyn", arith)
-
-
-def _compile_tuple(expr, policy: CompiledPolicy):
-    try:
-        name = policy.constants[expr[1]].value
-        elem_exprs = list(expr[2])
-    except (IndexError, TypeError, AttributeError) as exc:
-        raise _CompileFallback(str(exc)) from exc
-    elems = [_compile_expr(arg, policy) for arg in elem_exprs]
-    if all(kind == "const" for kind, _ in elems):
-        return (
-            "const",
-            TuplePattern(name=name, elems=tuple(v for _, v in elems)),
-        )
-    fns = [_as_fn(compiled) for compiled in elems]
-
-    def build(ctx, bindings, _name=name, _fns=fns):
-        return TuplePattern(
-            name=_name, elems=tuple(fn(ctx, bindings) for fn in _fns)
-        )
-
-    return ("dyn", build)
-
-
-def _as_fn(compiled):
-    kind, payload = compiled
-    if kind == "const":
-        return lambda ctx, bindings, _value=payload: _value
-    return payload
-
-
-# ---------------------------------------------------------------------------
-# Instruction (conjunct) compilation
-# ---------------------------------------------------------------------------
-
-def _compile_instruction(inst, policy: CompiledPolicy, meta: dict):
-    """Compile one conjunct into ``("const", bool)`` or ``("dyn", fn)``.
-
-    ``fn(ctx, bindings) -> bool`` runs the predicate exactly as the
-    interpreter would, *excluding* the ``predicates_evaluated``
-    increment, which the clause runner accounts.
-    """
-    spec_obj = None
-    try:
-        spec_obj = predicate_by_opcode(inst.opcode)
-    except PesosError:
-        # Unknown opcode: the interpreter raises PolicyCompileError at
-        # evaluation time, after counting the conjunct.
-        def missing(ctx, bindings, _opcode=inst.opcode):
-            predicate_by_opcode(_opcode)
-            raise AssertionError("unreachable")
-
-        return ("dyn", missing)
-    spec = spec_obj
-
-    if inst.opcode in _OBJECT_OPCODES:
-        meta["uses_objects"] = True
-    compiled_args = [_compile_expr(arg, policy) for arg in inst.args]
-    all_const = all(kind == "const" for kind, _ in compiled_args)
-    const_args = [payload for _, payload in compiled_args]
-
-    if inst.opcode == _CERTIFICATE_SAYS:
-        meta["uses_certificates"] = True
-        if len(compiled_args) == 3:
-            freshness_kind, freshness_value = compiled_args[1]
-            if freshness_kind == "const" and isinstance(
-                freshness_value, IntValue
-            ):
-                meta["freshness_windows"].add(freshness_value.value)
-            else:
-                meta["dynamic_freshness"] = True
-
-    if all_const and spec.name in _CONTEXT_FREE:
-        # Pure predicate over constants: run it once now.  A structural
-        # EvalError is equivalent to holding False — either way the
-        # clause fails right here with the same predicate count.
-        try:
-            held = spec.impl(None, Bindings(len(policy.variables)), const_args)
-        except EvalError:
-            return ("const", False)
-        except Exception as exc:  # e.g. bad arity -> ValueError at eval
-            raise _CompileFallback(str(exc)) from exc
-        meta["folded"] += 1
-        return ("const", bool(held))
-
-    if inst.opcode == _SESSION_KEY_IS and all_const and len(const_args) == 1:
-        const = const_args[0]
-        if isinstance(const, PubKeyValue):
-            # compare_or_set against a ground key is string equality on
-            # the fingerprint — the hottest conjunct in ACL policies.
-            meta["folded"] += 1
-            return (
-                "dyn",
-                lambda ctx, bindings, _fp=const.value: (
-                    ctx.session_key == _fp
-                ),
-            )
-        # A non-key constant never equals PubKeyValue(session_key).
-        meta["folded"] += 1
-        return ("const", False)
-
-    impl = spec.impl
-    template = [
-        payload if kind == "const" else None
-        for kind, payload in compiled_args
-    ]
-    dynamic = [
-        (index, payload)
-        for index, (kind, payload) in enumerate(compiled_args)
-        if kind == "dyn"
-    ]
-    if not dynamic:
-        def const_call(ctx, bindings, _impl=impl, _template=template):
-            return _impl(ctx, bindings, list(_template))
-
-        return ("dyn", const_call)
-
-    def step(ctx, bindings, _impl=impl, _template=template, _dynamic=dynamic):
-        args = list(_template)
-        for index, fn in _dynamic:
-            args[index] = fn(ctx, bindings)
-        return _impl(ctx, bindings, args)
-
-    return ("dyn", step)
-
-
-# ---------------------------------------------------------------------------
-# Clause compilation
-# ---------------------------------------------------------------------------
-
-@dataclass
-class CompiledClause:
-    """One disjunct as a flat op list the clause runner executes.
-
-    Ops are ``("bump", n)`` (n constant-true conjuncts), ``("fail", n)``
-    (count n conjuncts, then fail the clause — a stripped dead tail),
-    and ``("call", fn)`` (one live predicate).
-    """
-
-    ops: list
-    #: Earlier clause whose outcome this one replays (exact duplicate).
-    duplicate_of: int | None = None
-    #: Conjuncts stripped after a constant-false position.
-    stripped_conjuncts: int = 0
-
-
-def _compile_clause(clause, policy, meta, facts):
-    ops: list = []
-    bump = 0
-    stripped = 0
-    steps = [
-        _compile_instruction(inst, policy, meta) for inst in clause
-    ]
-    for position, (kind, payload) in enumerate(steps):
-        if kind == "const":
-            if payload:
-                bump += 1
-                continue
-            ops.append(("fail", bump + 1))
-            stripped = len(steps) - position - 1
-            meta["stripped_clauses"] += 1
-            if facts is not None and position in facts.get(
-                "const_false_at", ()
-            ):
-                meta["verified_strips"] += 1
-            break
-        if bump:
-            ops.append(("bump", bump))
-            bump = 0
-        ops.append(("call", payload))
-    else:
-        if bump:
-            ops.append(("bump", bump))
-    return CompiledClause(ops=ops, stripped_conjuncts=stripped)
-
-
-def _run_clause(ops, ctx, bindings, decision) -> bool:
-    for kind, payload in ops:
-        if kind == "call":
-            decision.predicates_evaluated += 1
-            try:
-                if not payload(ctx, bindings):
-                    return False
-            except EvalError:
-                return False
-        elif kind == "bump":
-            decision.predicates_evaluated += payload
-        else:  # "fail"
-            decision.predicates_evaluated += payload
-            return False
-    return True
-
-
-# ---------------------------------------------------------------------------
-# FastPolicy
-# ---------------------------------------------------------------------------
-
-@dataclass
-class FastPolicy:
-    """A policy compiled to closures, with the interpreter as fallback."""
-
-    policy: CompiledPolicy
-    clauses: dict = field(default_factory=dict)
-    num_slots: int = 0
-    variables: list = field(default_factory=list)
-    #: Interpreter used verbatim when exact compilation was impossible.
-    delegate: PolicyInterpreter | None = None
-    #: True when any conjunct reads object state; such decisions are
-    #: never cached (their store/cache footprint must stay observable).
-    uses_objects: bool = False
-    uses_certificates: bool = False
-    #: certificateSays freshness windows that are non-constant, making
-    #: time-based invalidation unpredictable: do not cache.
-    dynamic_freshness: bool = False
-    #: Constant freshness windows (seconds), for ``valid_until``.
-    freshness_windows: frozenset = frozenset()
-    folded_conjuncts: int = 0
-    stripped_clauses: int = 0
-    verified_strips: int = 0
-    memoized_duplicates: int = 0
-
-    # -- evaluation ----------------------------------------------------------
-
-    def evaluate(self, operation: str, ctx: EvalContext) -> Decision:
-        if self.delegate is not None:
-            return self.delegate.evaluate(self.policy, operation, ctx)
-        clauses = self.clauses.get(operation)
-        decision = Decision(granted=False, operation=operation)
-        if not clauses:
-            return decision
-        outcomes: list = [None] * len(clauses)
-        for index, compiled in enumerate(clauses):
-            duplicate = compiled.duplicate_of
-            if duplicate is not None and outcomes[duplicate] is not None:
-                # First-match order means the original already ran (and
-                # failed, else we would have returned); evaluation is
-                # deterministic in ctx, so replay its predicate count.
-                delta = outcomes[duplicate]
-                decision.predicates_evaluated += delta
-                outcomes[index] = delta
-                continue
-            bindings = Bindings(self.num_slots, self.variables)
-            before = decision.predicates_evaluated
-            if _run_clause(compiled.ops, ctx, bindings, decision):
-                decision.granted = True
-                decision.matched_clause = index
-                decision.bindings = bindings.snapshot()
-                return decision
-            outcomes[index] = decision.predicates_evaluated - before
-        return decision
-
-    def evaluate_batch(self, operation: str, contexts: list) -> list:
-        """Clause-major evaluation of many contexts in one pass.
-
-        Returns one entry per context: its :class:`Decision`, or
-        ``None`` when evaluating that context raised (malformed policy
-        constructs surface per-request on the normal path instead).
-        """
-        if self.delegate is not None:
-            return [
-                self._delegate_one(operation, ctx) for ctx in contexts
-            ]
-        decisions = [
-            Decision(granted=False, operation=operation) for _ in contexts
-        ]
-        clauses = self.clauses.get(operation)
-        if not clauses:
-            return decisions
-        outcomes = [[None] * len(clauses) for _ in contexts]
-        pending = list(range(len(contexts)))
-        for index, compiled in enumerate(clauses):
-            still_pending = []
-            duplicate = compiled.duplicate_of
-            for position in pending:
-                decision = decisions[position]
-                if (
-                    duplicate is not None
-                    and outcomes[position][duplicate] is not None
-                ):
-                    delta = outcomes[position][duplicate]
-                    decision.predicates_evaluated += delta
-                    outcomes[position][index] = delta
-                    still_pending.append(position)
-                    continue
-                bindings = Bindings(self.num_slots, self.variables)
-                before = decision.predicates_evaluated
-                try:
-                    held = _run_clause(
-                        compiled.ops, contexts[position], bindings, decision
-                    )
-                except PesosError:
-                    decisions[position] = None
-                    continue
-                if held:
-                    decision.granted = True
-                    decision.matched_clause = index
-                    decision.bindings = bindings.snapshot()
-                    continue
-                outcomes[position][index] = (
-                    decision.predicates_evaluated - before
-                )
-                still_pending.append(position)
-            pending = still_pending
-            if not pending:
-                break
-        return decisions
-
-    def _delegate_one(self, operation, ctx):
-        try:
-            return self.delegate.evaluate(self.policy, operation, ctx)
-        except PesosError:
-            return None
-
-    # -- cacheability --------------------------------------------------------
-
-    @property
-    def cacheable(self) -> bool:
-        return (
-            self.delegate is None
-            and not self.uses_objects
-            and not self.dynamic_freshness
-        )
-
-    def valid_until(self, ctx: EvalContext) -> float | None:
-        """First future instant at which this decision could change.
-
-        Time enters evaluation only through certificate checks: the
-        validity window bounds and the freshness cutoffs
-        ``not_before + window``.  The nearest such boundary strictly
-        after ``ctx.now`` caps the cache entry; ``None`` means the
-        decision is time-invariant (within its epoch).
-        """
-        if not self.uses_certificates or not ctx.certificates:
-            return None
-        boundaries = []
-        for certificate in ctx.certificates:
-            if not isinstance(certificate, Certificate):
-                continue
-            boundaries.append(certificate.not_before)
-            boundaries.append(certificate.not_after)
-            for window in self.freshness_windows:
-                boundaries.append(certificate.not_before + window)
-        future = [b for b in boundaries if b > ctx.now]
-        return min(future) if future else None
-
-    def request_shape(self, ctx: EvalContext):
-        """Everything cached decisions may depend on, hashable.
-
-        ``None`` marks the request uncacheable.  Certificates are
-        folded in by fingerprint + signature (order preserved — fact
-        iteration order can steer which tuple binds a variable), and
-        the session nonce only matters when certificates do.
-        """
-        if not self.cacheable:
-            return None
-        pending = ctx.pending
-        cert_part: tuple = ()
-        nonce = ""
-        if self.uses_certificates:
-            parts = []
-            for certificate in ctx.certificates:
-                if not isinstance(certificate, Certificate):
-                    return None
-                parts.append(
-                    (certificate.fingerprint(), certificate.signature)
-                )
-            cert_part = tuple(parts)
-            nonce = ctx.nonce
-        return (
-            ctx.session_key,
-            ctx.this_id,
-            ctx.log_id,
-            ctx.request_version,
-            None
-            if pending is None
-            else (pending.size, pending.content_hash, pending.policy_hash),
-            cert_part,
-            nonce,
-        )
-
-
-def compile_closures(policy: CompiledPolicy) -> FastPolicy:
-    """Compile ``policy`` to closures (no memoization; see
-    :func:`compiled_form`)."""
-    meta = {
-        "uses_objects": False,
-        "uses_certificates": False,
-        "dynamic_freshness": False,
-        "freshness_windows": set(),
-        "folded": 0,
-        "stripped_clauses": 0,
-        "verified_strips": 0,
-        "memoized_duplicates": 0,
-    }
-    try:
-        facts = _verifier_facts(policy)
-        compiled: dict = {}
-        for operation, clauses in policy.permissions.items():
-            compiled_clauses = []
-            for index, clause in enumerate(clauses):
-                clause_facts = facts.get((operation, index))
-                compiled_clause = _compile_clause(
-                    clause, policy, meta, clause_facts
-                )
-                duplicate = None
-                if clause_facts is not None:
-                    duplicate = clause_facts.get("duplicate_of")
-                if duplicate is not None and _same_sequence(
-                    clauses[duplicate], clause
-                ):
-                    # The verifier's signature is a *set*; replaying an
-                    # outcome needs the instruction *sequence* equal.
-                    compiled_clause.duplicate_of = duplicate
-                    meta["memoized_duplicates"] += 1
-                compiled_clauses.append(compiled_clause)
-            compiled[operation] = compiled_clauses
-    except _CompileFallback:
-        return FastPolicy(policy=policy, delegate=PolicyInterpreter())
-    return FastPolicy(
-        policy=policy,
-        clauses=compiled,
-        num_slots=len(policy.variables),
-        variables=list(policy.variables),
-        uses_objects=meta["uses_objects"],
-        uses_certificates=meta["uses_certificates"],
-        dynamic_freshness=meta["dynamic_freshness"],
-        freshness_windows=frozenset(meta["freshness_windows"]),
-        folded_conjuncts=meta["folded"],
-        stripped_clauses=meta["stripped_clauses"],
-        verified_strips=meta["verified_strips"],
-        memoized_duplicates=meta["memoized_duplicates"],
-    )
-
-
-def _same_sequence(clause_a, clause_b) -> bool:
-    if len(clause_a) != len(clause_b):
-        return False
-    return all(
-        a.opcode == b.opcode and a.args == b.args
-        for a, b in zip(clause_a, clause_b)
-    )
-
-
-def _verifier_facts(policy: CompiledPolicy) -> dict:
-    # Imported lazily: analysis depends on the policy package, not the
-    # other way around, except through this one bridge.
-    from repro.analysis.policy_verify import clause_facts
-
-    try:
-        return clause_facts(policy)
-    except PesosError:
-        return {}
-
-
-def compiled_form(policy: CompiledPolicy) -> FastPolicy:
-    """Memoized compilation, living on the policy instance.
-
-    Tying the compiled form to the ``CompiledPolicy`` object means the
-    LFU policy cache governs its lifetime: evicting the policy drops
-    the closures with it, and a re-fetched policy recompiles once.
-    """
-    fast = policy._fast_cache
-    if fast is None:
-        fast = compile_closures(policy)
-        policy._fast_cache = fast
-    return fast
-
-
-# ---------------------------------------------------------------------------
-# Decision cache
-# ---------------------------------------------------------------------------
-
-@dataclass
-class DecisionCacheStats:
-    hits: int = 0
-    misses: int = 0
-    expired: int = 0
-    invalidations: int = 0
-    epoch_advances: int = 0
-
-
-@dataclass
-class _CacheEntry:
-    decision: Decision
-    valid_until: float | None
-
-
-class DecisionCache:
-    """Bounded LRU of policy decisions.
-
-    Keys are ``(policy_hash, operation, shape, epoch)``.  The epoch is
-    part of the key *and* entries are dropped eagerly when it advances,
-    so a stale verdict is unreachable by construction even if a caller
-    mishandles invalidation.  ``put`` refuses writes stamped with an
-    old epoch (a check that ran before a concurrent mutation advanced
-    the world must not re-poison the cache).
-    """
-
-    def __init__(self, max_entries: int = 4096):
-        self.max_entries = max(1, int(max_entries))
-        self._entries: OrderedDict = OrderedDict()
-        self.epoch = 0
-        self.stats = DecisionCacheStats()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def advance_epoch(self) -> None:
-        self.epoch += 1
-        self.stats.epoch_advances += 1
-        self._entries.clear()
-
-    def invalidate_policy(self, policy_hash: str) -> int:
-        doomed = [
-            key for key in self._entries if key[0] == policy_hash
-        ]
-        for key in doomed:
-            del self._entries[key]
-        self.stats.invalidations += len(doomed)
-        return len(doomed)
-
-    def contains(
-        self, policy_hash: str, operation: str, shape, *, now: float
-    ) -> bool:
-        """Membership probe that leaves the stats and LRU order alone
-        (prewarm uses it; probes are not request traffic)."""
-        entry = self._entries.get(
-            (policy_hash, operation, shape, self.epoch)
-        )
-        if entry is None:
-            return False
-        return entry.valid_until is None or now < entry.valid_until
-
-    def get(
-        self, policy_hash: str, operation: str, shape, *, now: float
-    ) -> Decision | None:
-        key = (policy_hash, operation, shape, self.epoch)
-        entry = self._entries.get(key)
-        if entry is None:
-            self.stats.misses += 1
-            return None
-        if entry.valid_until is not None and now >= entry.valid_until:
-            # A time boundary passed: the decision may have flipped.
-            del self._entries[key]
-            self.stats.expired += 1
-            self.stats.misses += 1
-            return None
-        self._entries.move_to_end(key)
-        self.stats.hits += 1
-        return _copy_decision(entry.decision)
-
-    def put(
-        self,
-        policy_hash: str,
-        operation: str,
-        shape,
-        *,
-        epoch: int,
-        decision: Decision,
-        valid_until: float | None = None,
-    ) -> None:
-        if epoch != self.epoch:
-            return
-        key = (policy_hash, operation, shape, epoch)
-        self._entries[key] = _CacheEntry(
-            decision=_copy_decision(decision), valid_until=valid_until
-        )
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.max_entries:
-            self._entries.popitem(last=False)
-
-
-def _copy_decision(decision: Decision) -> Decision:
-    return Decision(
-        granted=decision.granted,
-        operation=decision.operation,
-        matched_clause=decision.matched_clause,
-        bindings=dict(decision.bindings),
-        predicates_evaluated=decision.predicates_evaluated,
-    )
-
-
-# ---------------------------------------------------------------------------
-# PolicyEngine: what the controller talks to
-# ---------------------------------------------------------------------------
 
 class PolicyEngine:
-    """Compiled closures fronted by the decision cache."""
+    """Delegates every check to :class:`PolicyInterpreter`."""
 
-    def __init__(
-        self,
-        interpreter: PolicyInterpreter | None = None,
-        cache_entries: int = 4096,
-    ):
-        self.interpreter = interpreter or PolicyInterpreter()
-        self.decisions = DecisionCache(max_entries=cache_entries)
+    interpreter = PolicyInterpreter()
 
-    def evaluate(
-        self, policy: CompiledPolicy, operation: str, ctx: EvalContext
-    ) -> Decision:
-        fast = compiled_form(policy)
-        shape = fast.request_shape(ctx)
-        if shape is None:
-            return fast.evaluate(operation, ctx)
-        policy_hash = policy.policy_hash()
-        cached = self.decisions.get(
-            policy_hash, operation, shape, now=ctx.now
-        )
-        if cached is not None:
-            return cached
-        decision = fast.evaluate(operation, ctx)
-        self.decisions.put(
-            policy_hash,
-            operation,
-            shape,
-            epoch=self.decisions.epoch,
-            decision=decision,
-            valid_until=fast.valid_until(ctx),
-        )
-        return decision
-
-    def prewarm(
-        self, policy: CompiledPolicy, operation: str, contexts: list
-    ) -> int:
-        """Batch-evaluate ``contexts`` and seed the cache; returns the
-        number of decisions cached.  Duplicate shapes collapse to one
-        evaluation, and already-cached shapes are skipped."""
-        fast = compiled_form(policy)
-        if not fast.cacheable:
-            return 0
-        policy_hash = policy.policy_hash()
-        epoch = self.decisions.epoch
-        fresh: list = []
-        shapes: list = []
-        seen: set = set()
-        for ctx in contexts:
-            shape = fast.request_shape(ctx)
-            if shape is None or shape in seen:
-                continue
-            seen.add(shape)
-            if self.decisions.contains(
-                policy_hash, operation, shape, now=ctx.now
-            ):
-                continue
-            fresh.append(ctx)
-            shapes.append(shape)
-        if not fresh:
-            return 0
-        warmed = 0
-        for ctx, shape, decision in zip(
-            fresh, shapes, fast.evaluate_batch(operation, fresh)
-        ):
-            if decision is None:
-                continue
-            self.decisions.put(
-                policy_hash,
-                operation,
-                shape,
-                epoch=epoch,
-                decision=decision,
-                valid_until=fast.valid_until(ctx),
-            )
-            warmed += 1
-        return warmed
-
-    def advance_epoch(self) -> None:
-        self.decisions.advance_epoch()
-
-    def invalidate_policy(self, policy_hash: str) -> int:
-        return self.decisions.invalidate_policy(policy_hash)
+    def evaluate(self, policy, operation, ctx):
+        return self.interpreter.evaluate(policy, operation, ctx)

@@ -301,38 +301,6 @@ def test_non_client_get_is_not_a_drive_read():
     assert rules("value = mapping.get(key)\n") == []
 
 
-# -- policy-stale-decision-cache ---------------------------------------------
-
-def test_decision_cache_write_without_epoch_flagged():
-    source = "self.decisions.put(key, value)\n"
-    assert rules(source) == ["policy-stale-decision-cache"]
-
-
-def test_decision_cache_write_missing_only_epoch_flagged():
-    source = "cache.decision_cache.put(policy_hash, op, shape, d)\n"
-    assert rules(source) == ["policy-stale-decision-cache"]
-
-
-def test_decision_cache_write_with_epoch_and_policy_is_fine():
-    source = (
-        "self.decisions.put(policy_hash, op, shape, "
-        "epoch=self.decisions.epoch, decision=d)\n"
-    )
-    assert rules(source) == []
-
-
-def test_non_decision_cache_put_is_not_flagged():
-    assert rules("self.sessions.put(key, value)\n") == []
-
-
-def test_decision_cache_write_pragma_allowed():
-    source = (
-        "self.decisions.put(key, value)"
-        "  # pesos: allow[policy-stale-decision-cache]\n"
-    )
-    assert rules(source) == []
-
-
 # -- the repository itself ---------------------------------------------------
 
 def test_repo_source_tree_is_clean():

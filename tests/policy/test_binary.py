@@ -70,6 +70,48 @@ def test_corrupt_blob_rejected():
         CompiledPolicy.from_bytes(blob[: len(blob) // 2])
 
 
+def _reencoded(mutate) -> bytes:
+    from repro.kinetic.protocol import decode_fields, encode_fields
+
+    fields = decode_fields(compile_policy(VERSION_POLICY).to_bytes())
+    mutate(fields)
+    return encode_fields(fields)
+
+
+def _drop(name):
+    return lambda fields: fields.pop(name)
+
+
+def _bad_instruction(fields):
+    # update clause 0, instruction 0: a bare opcode, not [opcode, args]
+    fields["permissions"][0][1][0][0] = 20
+
+
+def _constant_out_of_range(fields):
+    # update clause 1, objId(this, NULL): point NULL past the pool
+    fields["permissions"][0][1][1][0][1][1] = ["c", 99]
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        _drop("permissions"),
+        _drop("constants"),
+        _bad_instruction,
+        _constant_out_of_range,
+    ],
+    ids=[
+        "missing-permissions",
+        "missing-constants",
+        "instruction-not-a-pair",
+        "constant-index-out-of-range",
+    ],
+)
+def test_malformed_blob_rejected_at_load(mutate):
+    with pytest.raises(PolicyFormatError):
+        CompiledPolicy.from_bytes(_reencoded(mutate))
+
+
 def test_wrong_version_rejected():
     from repro.kinetic.protocol import decode_fields, encode_fields
 

@@ -1,8 +1,7 @@
 """Regressions for the compare-or-set unification bugs.
 
-Two historical failure modes, each asserted under BOTH the interpreter
-and the compiled closures (the fast path shares :mod:`evalcore`, so a
-regression in either layer must trip these):
+Two historical failure modes, each pinned to the interpreter's exact
+:class:`Decision` (verdict, clause, predicate count and bindings):
 
 1. ``compare_or_set`` double-bind — a variable that was unbound when a
    predicate's arguments were evaluated may have been bound *by the
@@ -16,7 +15,7 @@ regression in either layer must trip these):
    next fact in the same predicate call.
 """
 
-from repro.policy.compiled import compile_closures
+from repro.policy.ast import IntValue
 from repro.policy.compiler import compile_policy
 from repro.policy.context import EvalContext, ObjectView, VersionInfo
 from repro.policy.interpreter import PolicyInterpreter
@@ -24,21 +23,12 @@ from repro.policy.interpreter import PolicyInterpreter
 INTERP = PolicyInterpreter()
 
 
-def _both_paths(policy, operation, ctx):
-    """Evaluate under interpreter and closures; assert identity."""
-    interpreted = INTERP.evaluate(policy, operation, ctx)
-    compiled = compile_closures(policy).evaluate(operation, ctx)
-    for attribute in (
-        "granted",
-        "clause_path",
-        "predicates_evaluated",
-        "matched_clause",
-        "bindings",
-    ):
-        assert getattr(interpreted, attribute) == getattr(
-            compiled, attribute
-        ), attribute
-    return interpreted
+def _assert_decision(decision, granted, matched_clause, bindings):
+    """One-predicate policies: every check evaluates exactly once."""
+    assert decision.granted is granted
+    assert decision.predicates_evaluated == 1
+    assert decision.matched_clause == matched_clause
+    assert decision.bindings == bindings
 
 
 def _ctx(view: ObjectView) -> EvalContext:
@@ -60,9 +50,9 @@ def test_repeated_variable_compares_against_live_binding():
         current_version=2,
         versions={2: VersionInfo.from_content(b"xy")},
     )
-    decision = _both_paths(policy, "read", _ctx(view))
-    assert decision.granted
-    assert decision.bindings["V"].value == 2
+    decision = INTERP.evaluate(policy, "read", _ctx(view))
+    _assert_decision(decision, True, 0, {"V": IntValue(2)})
+    assert decision.clause_path == "read/clause[0]"
 
 
 def test_repeated_variable_mismatch_denies_cleanly():
@@ -73,8 +63,8 @@ def test_repeated_variable_mismatch_denies_cleanly():
         current_version=3,
         versions={3: VersionInfo.from_content(b"xy")},
     )
-    decision = _both_paths(policy, "read", _ctx(view))
-    assert not decision.granted
+    decision = INTERP.evaluate(policy, "read", _ctx(view))
+    _assert_decision(decision, False, None, {})
     assert decision.clause_path == "read/denied"
 
 
@@ -88,9 +78,10 @@ def test_failed_fact_leaves_no_nested_bindings_behind():
         current_version=1,
         versions={1: VersionInfo.from_content(content)},
     )
-    decision = _both_paths(policy, "read", _ctx(view))
-    assert decision.granted
-    assert decision.bindings["X"].value == 3
+    decision = INTERP.evaluate(policy, "read", _ctx(view))
+    _assert_decision(
+        decision, True, 0, {"LV": IntValue(1), "X": IntValue(3)}
+    )
 
 
 def test_repeated_slot_within_one_pattern_unifies_by_first_occurrence():
@@ -101,9 +92,10 @@ def test_repeated_slot_within_one_pattern_unifies_by_first_occurrence():
         current_version=1,
         versions={1: VersionInfo.from_content(content)},
     )
-    decision = _both_paths(policy, "read", _ctx(view))
-    assert decision.granted
-    assert decision.bindings["H"].value == 5
+    decision = INTERP.evaluate(policy, "read", _ctx(view))
+    _assert_decision(
+        decision, True, 0, {"LV": IntValue(1), "H": IntValue(5)}
+    )
 
 
 def test_repeated_slot_mismatch_everywhere_denies():
@@ -113,5 +105,5 @@ def test_repeated_slot_mismatch_everywhere_denies():
         current_version=1,
         versions={1: VersionInfo.from_content(b"'w'(1,2)\n'w'(3,4)")},
     )
-    decision = _both_paths(policy, "read", _ctx(view))
-    assert not decision.granted
+    decision = INTERP.evaluate(policy, "read", _ctx(view))
+    _assert_decision(decision, False, None, {})
