@@ -196,9 +196,7 @@ class TaintRegistry:
 
 
 #: Receivers that identify an AEAD primitive in this codebase.
-_AEAD_RECEIVERS = frozenset(
-    {"aead", "gcm", "_aead", "_gcm", "_recv_gcm", "_send_gcm"}
-)
+_AEAD_RECEIVERS = frozenset({"aead", "_aead", "_recv_aead", "_send_aead"})
 
 #: Receivers that identify a raw Kinetic drive client.
 _DRIVE_RECEIVERS = frozenset({"client", "clients", "drive", "drives"})
@@ -211,12 +209,6 @@ DEFAULT_REGISTRY = TaintRegistry(
             kind=KIND_PLAINTEXT,
             receiver_hints=_AEAD_RECEIVERS,
             reason="AEAD open() returns decrypted content",
-        ),
-        CallSource(
-            method="decrypt",
-            kind=KIND_PLAINTEXT,
-            receiver_hints=_AEAD_RECEIVERS,
-            reason="AES decrypt() returns raw plaintext blocks",
         ),
         CallSource(
             method="unseal",

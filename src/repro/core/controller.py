@@ -40,7 +40,6 @@ from repro.core.ssdcache import SSD_READ, SSD_WRITE
 from repro.core.locks import KeyLockTable
 from repro.core.store import ObjectStore, StoreBackedView, StoredMeta
 from repro.core.txn import Transaction, VllManager
-from repro.crypto.aead import StreamAead
 from repro.errors import (
     ForkDetected,
     ObjectNotFound,
@@ -70,8 +69,6 @@ class ControllerConfig:
     #: Suffix used to resolve the ``log`` reference when the request
     #: does not name a log object explicitly (MAL convention).
     log_suffix: str = ".log"
-    #: AEAD construction for payload encryption.
-    aead_factory: type = StreamAead
     #: Disable policy checking entirely (the paper's "without policy
     #: enforcement" baseline used in §6.2).
     enforce_policies: bool = True
@@ -217,7 +214,6 @@ class PesosController:
             replication_factor=self.config.replication_factor,
             keep_history=self.config.keep_history,
             effects=self.effects,
-            aead_factory=self.config.aead_factory,
             version_metadata_window=self.config.version_metadata_window,
             telemetry=self.telemetry,
             write_quorum=self.config.write_quorum,

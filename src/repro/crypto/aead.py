@@ -1,20 +1,22 @@
-"""Fast authenticated encryption for the object data path.
+"""The one authenticated cipher: object payloads, enclave seals, channels.
 
-Pesos encrypts every object with AES-GCM before it reaches a drive.
-Our AES-GCM (:mod:`repro.crypto.gcm`) is pure Python and therefore too
-slow for benchmark workloads that push 100k objects through the
-functional data path.  :class:`StreamAead` provides the same interface
-and guarantees — confidentiality plus integrity with associated data —
-built from SHA-256 primitives that run at C speed in the standard
-library:
+Pesos encrypts every object with AES-GCM before it reaches a drive,
+seals enclave state, and protects its TLS records with the same kind of
+AEAD.  Pure-Python AES costs milliseconds per small seal, so every
+AEAD use in this package goes through :class:`StreamAead`, which
+gives the same interface and guarantees — confidentiality plus
+integrity with associated data, ``ciphertext || 16-byte tag`` under a
+12-byte nonce — built from SHA-256 primitives that run at C speed in
+the standard library:
 
 - keystream: ``SHA256(key || nonce || counter)`` blocks XORed over the
   plaintext (a CTR-mode PRF cipher);
 - authentication: encrypt-then-MAC with HMAC-SHA256 over
   ``nonce || aad || ciphertext`` under a separate derived key.
 
-The controller accepts any object with this interface, so deployments
-wanting literal AES-GCM can pass :class:`GcmAead`.
+Virtual time still charges hardware AES-GCM per byte
+(:meth:`repro.sgx.costs.CostModel.encryption_cost`), so simulated
+results price the cipher the paper uses.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from __future__ import annotations
 import hashlib
 import hmac
 
-from repro.crypto.gcm import AesGcm
 from repro.errors import CryptoError, IntegrityError
 
 _BLOCK = 32  # SHA-256 digest size
@@ -87,35 +88,3 @@ class StreamAead:
             raise IntegrityError("AEAD tag mismatch")
         keystream = self._keystream(nonce, len(ciphertext))
         return self._xor(ciphertext, keystream)
-
-
-class GcmAead:
-    """AES-GCM behind the same seal/open interface (slow, literal)."""
-
-    TAG_SIZE = AesGcm.TAG_SIZE
-    NONCE_SIZE = AesGcm.NONCE_SIZE
-
-    def __init__(self, key: bytes):
-        self._gcm = AesGcm(key)
-
-    def seal(self, nonce: bytes, plaintext: bytes, aad: bytes = b"") -> bytes:
-        return self._gcm.seal(nonce, plaintext, aad)
-
-    def open(self, nonce: bytes, blob: bytes, aad: bytes = b"") -> bytes:
-        return self._gcm.open(nonce, blob, aad)
-
-
-class NullAead:
-    """No-op cipher for ablation benchmarks (encryption-off baseline)."""
-
-    TAG_SIZE = 0
-    NONCE_SIZE = 12
-
-    def __init__(self, key: bytes = b""):
-        pass
-
-    def seal(self, nonce: bytes, plaintext: bytes, aad: bytes = b"") -> bytes:
-        return plaintext
-
-    def open(self, nonce: bytes, blob: bytes, aad: bytes = b"") -> bytes:
-        return blob

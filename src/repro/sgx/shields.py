@@ -9,7 +9,7 @@ Iago attacks."
 :class:`ShieldedFileSystem` is that shield around an untrusted host
 file system (here a :class:`HostFileSystem` the adversary controls):
 
-- every written block leaves the enclave AES-sealed under a per-file
+- every written block leaves the enclave AEAD-sealed under a per-file
   nonce schedule, with the path and block index bound as AAD, so the
   host sees neither names' contents nor can it splice blocks between
   files or offsets;

@@ -9,6 +9,8 @@ pragma suppression.
 
 from pathlib import Path
 
+import pytest
+
 from repro.analysis.taint import Taint, analyze_package
 
 
@@ -54,11 +56,12 @@ def test_name_source_key_to_print(tmp_path):
     assert "key" in findings[0].message
 
 
-def test_aead_open_yields_plaintext(tmp_path):
+@pytest.mark.parametrize("receiver", ["_aead", "_recv_aead"])
+def test_aead_open_yields_plaintext(tmp_path, receiver):
     findings = run(tmp_path, {"m.py": (
         "class Store:\n"
         "    def leak(self, blob):\n"
-        "        plain = self._aead.open(blob, b'aad')\n"
+        f"        plain = self.{receiver}.open(blob, b'aad')\n"
         "        print(plain)\n"
     )})
     assert rules(findings) == ["taint/log-line"]

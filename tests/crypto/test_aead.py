@@ -1,16 +1,16 @@
-"""StreamAead / GcmAead / NullAead interface contract."""
+"""StreamAead interface contract."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto.aead import GcmAead, NullAead, StreamAead
+from repro.crypto.aead import StreamAead
 from repro.errors import CryptoError, IntegrityError
 
 NONCE = b"n" * 12
 
 
-@pytest.fixture(params=[StreamAead, GcmAead], ids=["stream", "gcm"])
+@pytest.fixture(params=[StreamAead], ids=["stream"])
 def aead(request):
     return request.param(b"k" * 16)
 
@@ -51,9 +51,8 @@ def test_wrong_key_detected():
 
 
 def test_short_blob_rejected(aead):
-    if aead.TAG_SIZE:
-        with pytest.raises(IntegrityError):
-            aead.open(NONCE, b"x")
+    with pytest.raises(IntegrityError):
+        aead.open(NONCE, b"x")
 
 
 def test_bad_nonce_length(aead):
@@ -70,12 +69,6 @@ def test_stream_overhead_is_tag_size():
 def test_short_key_rejected():
     with pytest.raises(CryptoError):
         StreamAead(b"tiny")
-
-
-def test_null_aead_passthrough():
-    aead = NullAead()
-    assert aead.seal(NONCE, b"data") == b"data"
-    assert aead.open(NONCE, b"data") == b"data"
 
 
 def test_empty_plaintext(aead):

@@ -98,3 +98,13 @@ def test_audit_log_records_outcomes(service, platform):
 def test_truncated_blob_rejected():
     with pytest.raises(AttestationError):
         AttestationService.open_provisioned(b"x", b"k" * 16)
+
+
+def test_tampered_blob_rejected(service, platform):
+    enclave = platform.launch(BINARY)
+    response_key = secrets.token_bytes(16)
+    quote = platform.quote(enclave, hashlib.sha256(response_key).digest())
+    blob = bytearray(service.attest(quote, response_key))
+    blob[12] ^= 0x01
+    with pytest.raises(AttestationError):
+        AttestationService.open_provisioned(bytes(blob), response_key)

@@ -55,6 +55,28 @@ def test_unseal_truncated_blob():
         _enclave().unseal(b"short")
 
 
+def _flip(blob, index):
+    tampered = bytearray(blob)
+    tampered[index] ^= 0x01
+    return bytes(tampered)
+
+
+@pytest.mark.parametrize(
+    "tamper",
+    [
+        lambda blob: _flip(blob, 12),
+        lambda blob: _flip(blob, -1),
+        lambda blob: blob[: 12 + 15],
+    ],
+    ids=["ciphertext-byte", "tag-byte", "nonce-plus-short-tag"],
+)
+def test_unseal_tampered_blob(tamper):
+    enclave = _enclave()
+    blob = enclave.seal(b"merkle root and counter")
+    with pytest.raises(AttestationError):
+        enclave.unseal(tamper(blob))
+
+
 def test_bad_root_key_rejected():
     with pytest.raises(CryptoError):
         Enclave(binary=BINARY, platform_root_key=b"short")
