@@ -110,8 +110,6 @@ def build_system(
     clients = cluster.connect_all(
         KineticDrive.DEMO_IDENTITY, KineticDrive.DEMO_KEY
     )
-    for client in clients:
-        client.wire_codec = False  # keep the functional hot path cheap
     controller = PesosController(
         clients,
         storage_key=b"bench-key".ljust(32, b"\0"),

@@ -57,6 +57,12 @@ from repro.telemetry import NULL_TELEMETRY
 from repro.telemetry.audit import PolicyAuditor
 from repro.telemetry.metrics import MetricFamily, Sample
 
+#: Suffix that resolves the ``log`` reference when a request names no
+#: log object explicitly (MAL convention).
+LOG_SUFFIX = ".log"
+#: Journal keys repaired per anti-entropy pass.
+ANTI_ENTROPY_BATCH = 4
+
 
 @dataclass
 class ControllerConfig:
@@ -66,9 +72,6 @@ class ControllerConfig:
     keep_history: bool = True
     cache: CacheConfig = field(default_factory=CacheConfig)
     session_expiry: float = 3600.0
-    #: Suffix used to resolve the ``log`` reference when the request
-    #: does not name a log object explicitly (MAL convention).
-    log_suffix: str = ".log"
     #: Disable policy checking entirely (the paper's "without policy
     #: enforcement" baseline used in §6.2).
     enforce_policies: bool = True
@@ -92,8 +95,6 @@ class ControllerConfig:
     #: Pump one anti-entropy repair pass every N handled requests;
     #: None disables the background loop (tests pump it directly).
     anti_entropy_interval: int | None = None
-    #: Journal keys repaired per anti-entropy pass.
-    anti_entropy_batch: int = 4
     #: Retained records in the tamper-evident policy-decision audit
     #: chain (:mod:`repro.sgx.auditlog`); None disables auditing and
     #: keeps the policy hot path free of hashing.
@@ -109,8 +110,6 @@ class ControllerConfig:
     #: refuses to serve after fork detection.  Implied by passing a
     #: ``freshness_env`` to the controller.
     freshness_enabled: bool = False
-    #: Entries in the freshness proof cache (keyed by pin epoch).
-    freshness_cache_entries: int = 4096
 
 
 def attestation_statement(
@@ -241,7 +240,6 @@ class PesosController:
                 env,
                 telemetry=self.telemetry,
                 auditor=self.auditor,
-                cache_entries=self.config.freshness_cache_entries,
             )
             self.freshness.bootstrap(self.store)
             if not self.freshness.forked:
@@ -442,9 +440,7 @@ class PesosController:
         if not len(self.store.journal):
             return
         try:
-            self.anti_entropy.run_once(
-                max_keys=self.config.anti_entropy_batch
-            )
+            self.anti_entropy.run_once(max_keys=ANTI_ENTROPY_BATCH)
         except PesosError:
             pass
 
@@ -624,7 +620,7 @@ class PesosController:
         pending: VersionInfo | None = None,
     ) -> EvalContext:
         exists = meta is not None and meta.exists
-        log_id = request.log_key or (request.key + self.config.log_suffix)
+        log_id = request.log_key or (request.key + LOG_SUFFIX)
         return EvalContext(
             operation=operation,
             session_key=session.fingerprint,

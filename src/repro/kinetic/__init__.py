@@ -15,8 +15,10 @@ This package reproduces that stack:
   (account replacement, the lock-out Pesos performs at bootstrap),
   peer-to-peer push, and device log/stats.
 - :mod:`repro.kinetic.client` — the client library: connection +
-  sequence numbers, synchronous calls and an asynchronous pipeline with
-  a pending-request window (the paper's ring-buffer redesign, §4.3).
+  sequence numbers and synchronous, mutually authenticated calls.  The
+  controller overlaps drive I/O (§4.3) through the concurrent request
+  engine, which routes client calls onto
+  :class:`repro.sgx.syscalls.AsyncSyscallInterface`.
 - :mod:`repro.kinetic.cluster` — a named set of drives with failover.
 - :mod:`repro.kinetic.timing` — virtual-time service models for the two
   evaluation backends: the in-memory Kinetic *simulator* and the

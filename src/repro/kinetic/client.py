@@ -4,18 +4,17 @@ The Pesos controller talks to drives exclusively through this client.
 It keeps a per-connection sequence number, HMAC-signs every request,
 verifies the HMAC on every response (mutual authentication), checks
 the drive's identity certificate on connect (drive-replacement
-detection, §2.4), and offers both synchronous calls and an
-asynchronous pipeline with a bounded pending-request window — the
-paper's §4.3 rework of pipe-based synchronization into concurrent data
-structures.
+detection, §2.4), and sends every command as a real frame.  Calls are
+synchronous; the controller overlaps drive I/O (§4.3) by routing the
+data-path calls through an interceptor into the concurrent request
+engine, which submits them on
+:class:`repro.sgx.syscalls.AsyncSyscallInterface`.
 """
 
 from __future__ import annotations
 
 import random
-from collections import deque
 from collections.abc import Callable
-from dataclasses import dataclass
 from typing import Any
 
 from repro.crypto.certs import TrustStore
@@ -33,37 +32,6 @@ from repro.kinetic.retry import RetryPolicy
 from repro.telemetry import NULL_TELEMETRY
 
 
-def _estimate_size(message: Message) -> int:
-    """Approximate wire size without encoding (fast-path accounting)."""
-    size = 64  # header, hmac, framing
-    for key, value in message.body.items():
-        size += len(key) + 4
-        if isinstance(value, (bytes, str)):
-            size += len(value)
-        elif isinstance(value, list):
-            size += sum(
-                len(item) if isinstance(item, (bytes, str)) else 8
-                for item in value
-            )
-        else:
-            size += 8
-    return size
-
-
-@dataclass
-class PendingRequest:
-    """An async request waiting for its response."""
-
-    sequence: int
-    request: Message
-    callback: Callable[[Message], None] | None = None
-    response: Message | None = None
-
-    @property
-    def done(self) -> bool:
-        return self.response is not None
-
-
 class KineticClient:
     """A mutually-authenticated connection to one Kinetic drive."""
 
@@ -74,8 +42,6 @@ class KineticClient:
         hmac_key: bytes,
         trust_store: TrustStore | None = None,
         now: float = 0.0,
-        max_pending: int = 64,
-        wire_codec: bool = True,
         retry_policy: RetryPolicy | None = None,
         retry_seed: int = 0,
         sleeper: Callable[[float], None] | None = None,
@@ -93,13 +59,6 @@ class KineticClient:
         #: and submit the call on the async syscall interface; the
         #: interceptor executes the real call via :meth:`direct`.
         self.interceptor = interceptor
-        #: When False, frames skip the byte-level encode/decode round
-        #: trip (messages stay signed and HMAC-verified).  Benchmarks
-        #: use this to keep the functional hot path cheap; wire sizes
-        #: are then estimated from message contents.
-        self.wire_codec = wire_codec
-        self._pending: deque[PendingRequest] = deque()
-        self.max_pending = max_pending
         self.requests_sent = 0
         self.bytes_on_wire = 0
         #: Transient-error retry schedule; None disables retrying.
@@ -169,19 +128,13 @@ class KineticClient:
     def _exchange(self, request: Message) -> Message:
         """One wire round trip (no retrying, no status validation)."""
         self.requests_sent += 1
-        if self.wire_codec:
-            # Encode/decode both ways: the real library serializes
-            # through protobuf; doing so keeps the wire format honest.
-            wire = request.encode()
-            self.bytes_on_wire += len(wire)
-            response = self.drive.handle(Message.decode(wire))
-            response_wire = response.encode()
-            self.bytes_on_wire += len(response_wire)
-            return Message.decode(response_wire)
-        self.bytes_on_wire += _estimate_size(request)
-        response = self.drive.handle(request)
-        self.bytes_on_wire += _estimate_size(response)
-        return response
+        # Both sides parse the frame they receive and authenticate its
+        # command bytes, as a real drive and client library do.
+        wire = request.encode()
+        self.bytes_on_wire += len(wire)
+        response_wire = self.drive.handle(Message.decode(wire)).encode()
+        self.bytes_on_wire += len(response_wire)
+        return Message.decode(response_wire)
 
     def _validate(self, request: Message, response: Message) -> Message:
         if response.status == StatusCode.HMAC_FAILURE:
@@ -375,49 +328,3 @@ class KineticClient:
 
     def flush(self) -> None:
         self._roundtrip(MessageType.FLUSHALLDATA, {})
-
-    # -- asynchronous pipeline ---------------------------------------------------
-
-    def submit(
-        self,
-        message_type: MessageType,
-        body: dict,
-        callback: Callable[[Message], None] | None = None,
-    ) -> PendingRequest:
-        """Queue a request without waiting for its response."""
-        if len(self._pending) >= self.max_pending:
-            raise KineticError("pending window full")
-        request = self._next_message(message_type, body)
-        pending = PendingRequest(
-            sequence=request.sequence, request=request, callback=callback
-        )
-        self._pending.append(pending)
-        return pending
-
-    def drain(self, max_responses: int | None = None) -> int:
-        """Execute queued requests; returns how many completed.
-
-        Responses complete in submission order (one TCP connection).
-        Status failures are recorded on the pending entry rather than
-        raised, matching the callback-style C library.
-        """
-        completed = 0
-        while self._pending and (max_responses is None or completed < max_responses):
-            pending = self._pending.popleft()
-            self.requests_sent += 1
-            if self.wire_codec:
-                wire = pending.request.encode()
-                self.bytes_on_wire += len(wire)
-                response = self.drive.handle(Message.decode(wire))
-            else:
-                self.bytes_on_wire += _estimate_size(pending.request)
-                response = self.drive.handle(pending.request)
-            pending.response = response
-            if pending.callback is not None:
-                pending.callback(response)
-            completed += 1
-        return completed
-
-    @property
-    def pending_count(self) -> int:
-        return len(self._pending)

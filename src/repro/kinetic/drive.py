@@ -191,12 +191,12 @@ class KineticDrive:
         acl = self._accounts.get(request.identity)
         if acl is None or not request.verify(acl.hmac_key):
             self.stats.auth_failures += 1
-            response = request.make_response(
+            # Sent unsigned: the sender proved no key the drive could
+            # sign with.  The client raises on HMAC_FAILURE before it
+            # checks the response HMAC.
+            return request.make_response(
                 StatusCode.HMAC_FAILURE, status_message="authentication failed"
             )
-            # Unauthenticated responses are signed with the demo key if
-            # present, else left unsigned — the client will notice.
-            return response
 
         required = _REQUIRED_ROLE.get(request.message_type)
         if required is None:

@@ -5,7 +5,8 @@ Real Kinetic drives speak Google Protocol Buffers over TCP with a
 tag/length/value binary encoding (:func:`encode_fields` /
 :func:`decode_fields`): a :class:`Message` carries a command header
 (identity, sequence, type), a body of operation parameters, and an
-HMAC-SHA256 over the encoded command keyed by the identity's secret —
+HMAC-SHA256 over the encoded command keyed by the identity's secret.
+The receiver checks that HMAC over the command bytes it received —
 which is exactly how Kinetic authenticates requests.
 
 Frame layout::
@@ -18,11 +19,10 @@ from __future__ import annotations
 import enum
 import hmac as hmac_mod
 import hashlib
-import io
 from dataclasses import dataclass, field
 
 from repro.errors import KineticError
-from repro.util.varint import read_varint, write_varint
+from repro.util.varint import append_varint, decode_varint
 
 _MAGIC = ord("K")
 
@@ -116,106 +116,121 @@ _TYPE_STR = 2
 _TYPE_LIST = 3
 _TYPE_NONE = 4
 
+#: Deepest list nesting either direction accepts.  The deepest record
+#: the store writes (a compiled policy) nests 9; the cap keeps a hostile
+#: frame from exhausting the interpreter stack before its HMAC is
+#: checked, and holding the encoder to it means nothing written can
+#: fail to load.
+MAX_LIST_DEPTH = 64
 
-def _read_exact(stream: io.BytesIO, length: int, what: str) -> bytes:
-    """Read exactly ``length`` bytes, validating against the buffer.
+
+def _read_exact(data: bytes, pos: int, what: str) -> tuple[bytes, int]:
+    """Read a varint length at ``pos`` and that many bytes after it.
 
     Length fields are attacker-controlled varints up to 2^64; checking
     them against the remaining payload prevents huge-allocation and
-    index-overflow attacks (found by fuzzing).
+    index-overflow attacks (found by fuzzing).  Returns
+    ``(payload, next_pos)``.
     """
-    remaining = stream.getbuffer().nbytes - stream.tell()
-    if length > remaining:
+    length, pos = decode_varint(data, pos)
+    end = pos + length
+    if end > len(data):
         raise KineticError(
-            f"{what} length {length} exceeds remaining payload {remaining}"
+            f"{what} length {length} exceeds remaining payload "
+            f"{len(data) - pos}"
         )
-    return stream.read(length)
+    return data[pos:end], end
 
 
-def _write_value(stream: io.BytesIO, value) -> None:
+def _write_value(out: bytearray, value, depth: int) -> None:
     if value is None:
-        stream.write(bytes([_TYPE_NONE]))
+        out.append(_TYPE_NONE)
     elif isinstance(value, bool):
         # bools encode as ints (before the int check: bool is an int).
-        stream.write(bytes([_TYPE_INT]))
-        write_varint(stream, int(value))
+        out.append(_TYPE_INT)
+        out.append(int(value))
     elif isinstance(value, int):
         if value < 0:
             raise KineticError(f"cannot encode negative int {value}")
-        stream.write(bytes([_TYPE_INT]))
-        write_varint(stream, value)
+        out.append(_TYPE_INT)
+        append_varint(out, value)
     elif isinstance(value, bytes):
-        stream.write(bytes([_TYPE_BYTES]))
-        write_varint(stream, len(value))
-        stream.write(value)
+        out.append(_TYPE_BYTES)
+        append_varint(out, len(value))
+        out += value
     elif isinstance(value, str):
         raw = value.encode()
-        stream.write(bytes([_TYPE_STR]))
-        write_varint(stream, len(raw))
-        stream.write(raw)
+        out.append(_TYPE_STR)
+        append_varint(out, len(raw))
+        out += raw
     elif isinstance(value, (list, tuple)):
-        stream.write(bytes([_TYPE_LIST]))
-        write_varint(stream, len(value))
+        if depth >= MAX_LIST_DEPTH:
+            raise KineticError(f"lists nest deeper than {MAX_LIST_DEPTH}")
+        out.append(_TYPE_LIST)
+        append_varint(out, len(value))
         for item in value:
-            _write_value(stream, item)
+            _write_value(out, item, depth + 1)
     else:
         raise KineticError(f"cannot encode field of type {type(value).__name__}")
 
 
-def _read_value(stream: io.BytesIO):
-    type_byte = stream.read(1)
-    if not type_byte:
+def _read_value(data: bytes, pos: int, depth: int) -> tuple[object, int]:
+    """Decode the value at ``pos``; returns ``(value, next_pos)``."""
+    if pos >= len(data):
         raise KineticError("truncated field value")
-    kind = type_byte[0]
+    kind = data[pos]
+    pos += 1
     if kind == _TYPE_NONE:
-        return None
+        return None, pos
     if kind == _TYPE_INT:
-        return read_varint(stream)
-    if kind in (_TYPE_BYTES, _TYPE_STR):
-        length = read_varint(stream)
-        raw = _read_exact(stream, length, "field payload")
-        if kind == _TYPE_BYTES:
-            return raw
+        return decode_varint(data, pos)
+    if kind == _TYPE_BYTES:
+        return _read_exact(data, pos, "field payload")
+    if kind == _TYPE_STR:
+        raw, pos = _read_exact(data, pos, "field payload")
         try:
-            return raw.decode()
+            return raw.decode(), pos
         except UnicodeDecodeError as exc:
             raise KineticError(f"invalid string field: {exc}") from exc
     if kind == _TYPE_LIST:
-        count = read_varint(stream)
-        remaining = stream.getbuffer().nbytes - stream.tell()
-        if count > remaining:  # each element needs >= 1 byte
+        if depth >= MAX_LIST_DEPTH:
+            raise KineticError(f"lists nest deeper than {MAX_LIST_DEPTH}")
+        count, pos = decode_varint(data, pos)
+        if count > len(data) - pos:  # each element needs >= 1 byte
             raise KineticError("list count exceeds remaining payload")
-        return [_read_value(stream) for _ in range(count)]
+        items = []
+        for _ in range(count):
+            item, pos = _read_value(data, pos, depth + 1)
+            items.append(item)
+        return items, pos
     raise KineticError(f"unknown field type {kind}")
 
 
 def encode_fields(fields: dict) -> bytes:
     """Encode a flat dict of fields deterministically (sorted keys)."""
-    stream = io.BytesIO()
-    write_varint(stream, len(fields))
+    out = bytearray()
+    append_varint(out, len(fields))
     for key in sorted(fields):
         raw_key = key.encode()
-        write_varint(stream, len(raw_key))
-        stream.write(raw_key)
-        _write_value(stream, fields[key])
-    return stream.getvalue()
+        append_varint(out, len(raw_key))
+        out += raw_key
+        _write_value(out, fields[key], 0)
+    return bytes(out)
 
 
 def decode_fields(data: bytes) -> dict:
     """Inverse of :func:`encode_fields`."""
-    stream = io.BytesIO(data)
-    count = read_varint(stream)
+    count, pos = decode_varint(data, 0)
     if count > len(data):
         raise KineticError("field count exceeds payload")
     fields = {}
     for _ in range(count):
-        key_len = read_varint(stream)
-        raw_key = _read_exact(stream, key_len, "field key")
+        raw_key, pos = _read_exact(data, pos, "field key")
         try:
             key = raw_key.decode()
         except UnicodeDecodeError as exc:
             raise KineticError(f"invalid field key: {exc}") from exc
-        fields[key] = _read_value(stream)
+        fields[key], pos = _read_value(data, pos, 0)
     return fields
 
 
@@ -237,9 +252,12 @@ class Message:
     _command_cache: bytes | None = field(
         default=None, repr=False, compare=False
     )
+    #: The command bytes this message was parsed from (set by
+    #: :meth:`decode`); :meth:`verify` authenticates exactly these.
+    _received: bytes | None = field(default=None, repr=False, compare=False)
 
     def command_bytes(self) -> bytes:
-        """The canonical encoding covered by the HMAC (always fresh)."""
+        """The canonical encoding of the command (always fresh)."""
         return encode_fields(
             {
                 "_type": int(self.message_type),
@@ -252,11 +270,10 @@ class Message:
         )
 
     def sign(self, key: bytes) -> "Message":
-        """Attach an HMAC-SHA256 computed with ``key``.
+        """Attach an HMAC-SHA256 over the canonical encoding.
 
-        The canonical encoding is cached for the follow-up
-        :meth:`encode`; :meth:`verify` always re-encodes so tampering
-        after signing is still caught.
+        The encoding is cached for the follow-up :meth:`encode`, so a
+        signed command is encoded once on its way to the wire.
         """
         self._command_cache = self.command_bytes()
         self.hmac = hmac_mod.new(
@@ -265,8 +282,17 @@ class Message:
         return self
 
     def verify(self, key: bytes) -> bool:
-        """Check the attached HMAC against ``key``."""
-        expected = hmac_mod.new(key, self.command_bytes(), hashlib.sha256).digest()
+        """Check the attached HMAC against ``key``.
+
+        A decoded message is checked over the command bytes that
+        arrived in its frame, as a Kinetic drive does.  A message built
+        in memory is checked over a fresh canonical encoding, never the
+        :meth:`sign` cache, so a field edited after signing fails.
+        """
+        command = self._received
+        if command is None:
+            command = self.command_bytes()
+        expected = hmac_mod.new(key, command, hashlib.sha256).digest()
         return hmac_mod.compare_digest(expected, self.hmac)
 
     def encode(self) -> bytes:
@@ -276,25 +302,20 @@ class Message:
             if self._command_cache is not None
             else self.command_bytes()
         )
-        stream = io.BytesIO()
-        stream.write(bytes([_MAGIC]))
-        write_varint(stream, len(command))
-        stream.write(command)
-        write_varint(stream, len(self.hmac))
-        stream.write(self.hmac)
-        return stream.getvalue()
+        out = bytearray([_MAGIC])
+        append_varint(out, len(command))
+        out += command
+        append_varint(out, len(self.hmac))
+        out += self.hmac
+        return bytes(out)
 
     @classmethod
     def decode(cls, data: bytes) -> "Message":
-        """Parse a framed wire blob."""
-        stream = io.BytesIO(data)
-        magic = stream.read(1)
-        if not magic or magic[0] != _MAGIC:
+        """Parse a framed wire blob, keeping its command bytes."""
+        if not data or data[0] != _MAGIC:
             raise KineticError("bad frame magic")
-        command_len = read_varint(stream)
-        command = _read_exact(stream, command_len, "command")
-        hmac_len = read_varint(stream)
-        mac = _read_exact(stream, hmac_len, "hmac")
+        command, pos = _read_exact(data, 1, "command")
+        mac, _ = _read_exact(data, pos, "hmac")
         outer = decode_fields(command)
         try:
             return cls(
@@ -305,6 +326,7 @@ class Message:
                 status_message=outer["_status_message"],
                 body=decode_fields(outer["_body"]),
                 hmac=mac,
+                _received=command,
             )
         except (KeyError, ValueError, TypeError) as exc:
             raise KineticError(f"malformed command: {exc}") from exc
@@ -328,7 +350,3 @@ class Message:
     @property
     def ok(self) -> bool:
         return self.status == StatusCode.SUCCESS
-
-    def wire_size(self) -> int:
-        """Encoded size in bytes (used for virtual-time transfer costs)."""
-        return len(self.encode())

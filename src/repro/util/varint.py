@@ -18,19 +18,21 @@ class VarintError(PesosError):
 _MAX_VARINT_BYTES = 10  # 64 bits / 7 bits-per-byte, rounded up
 
 
-def encode_varint(value: int) -> bytes:
-    """Encode a non-negative integer as a LEB128 varint."""
+def append_varint(out: bytearray, value: int) -> None:
+    """Append a non-negative integer to ``out`` as a LEB128 varint."""
     if value < 0:
         raise VarintError(f"varints are unsigned, got {value}")
-    out = bytearray()
-    while True:
-        byte = value & 0x7F
+    while value > 0x7F:
+        out.append(value & 0x7F | 0x80)
         value >>= 7
-        if value:
-            out.append(byte | 0x80)
-        else:
-            out.append(byte)
-            return bytes(out)
+    out.append(value)
+
+
+def encode_varint(value: int) -> bytes:
+    """Encode a non-negative integer as a LEB128 varint."""
+    out = bytearray()
+    append_varint(out, value)
+    return bytes(out)
 
 
 def decode_varint(data: bytes, offset: int = 0) -> tuple[int, int]:

@@ -1,18 +1,18 @@
-"""Client library: sync API, errors, async pipeline, certificates."""
+"""Client library: sync API, errors, wire authentication, certificates."""
 
 import pytest
 
 from repro.crypto.certs import CertificateAuthority, TrustStore
 from repro.errors import (
     CertificateError,
+    IntegrityError,
     KineticAuthError,
-    KineticError,
     KineticNotFound,
     KineticVersionMismatch,
 )
 from repro.kinetic.client import KineticClient
 from repro.kinetic.drive import KineticDrive, Role
-from repro.kinetic.protocol import MessageType, StatusCode
+from repro.kinetic.protocol import Message, MessageType
 
 
 @pytest.fixture()
@@ -82,6 +82,43 @@ def test_wrong_key_raises_auth_error(drive):
         bad_client.get(b"k")
 
 
+class _Frame:
+    """Stands in for a response; ``encode`` yields fixed frame bytes."""
+
+    def __init__(self, wire: bytes):
+        self._wire = wire
+
+    def encode(self) -> bytes:
+        return self._wire
+
+
+def test_flipped_response_byte_raises_integrity_error(drive, client):
+    client.put(b"k", b"payload")
+    handle = drive.handle
+
+    def flip_value_byte(request):
+        frame = bytearray(handle(request).encode())
+        frame[frame.rindex(b"payload")] ^= 0x01
+        return _Frame(bytes(frame))
+
+    drive.handle = flip_value_byte
+    with pytest.raises(IntegrityError):
+        client.get(b"k")
+
+
+def test_put_encodes_each_command_once(client, monkeypatch):
+    encodes = []
+    command_bytes = Message.command_bytes
+
+    def counted(message):
+        encodes.append(message.message_type)
+        return command_bytes(message)
+
+    monkeypatch.setattr(Message, "command_bytes", counted)
+    client.put(b"k", b"v")
+    assert encodes == [MessageType.PUT, MessageType.PUT_RESPONSE]
+
+
 def test_set_security_then_old_identity_locked_out(drive, client):
     client.set_security([("pesos", b"new-admin-key", Role.all())])
     with pytest.raises(KineticAuthError):
@@ -136,49 +173,6 @@ def test_uncertified_drive_rejected_when_trust_required(drive):
     trust.add(CertificateAuthority("vendor", key_bits=512))
     with pytest.raises(CertificateError):
         KineticClient(drive, "demo", KineticDrive.DEMO_KEY, trust_store=trust)
-
-
-def test_async_pipeline_completion_order(client):
-    results = []
-    client.submit(
-        MessageType.PUT,
-        {"key": b"k1", "value": b"v1", "db_version": b""},
-        callback=lambda r: results.append(("put", r.status)),
-    )
-    client.submit(
-        MessageType.GET,
-        {"key": b"k1"},
-        callback=lambda r: results.append(("get", r.status)),
-    )
-    assert client.pending_count == 2
-    assert client.drain() == 2
-    assert results == [
-        ("put", StatusCode.SUCCESS),
-        ("get", StatusCode.SUCCESS),
-    ]
-    assert client.pending_count == 0
-
-
-def test_async_pipeline_window_bound(drive):
-    client = KineticClient(drive, "demo", KineticDrive.DEMO_KEY, max_pending=2)
-    client.submit(MessageType.NOOP, {})
-    client.submit(MessageType.NOOP, {})
-    with pytest.raises(KineticError, match="window full"):
-        client.submit(MessageType.NOOP, {})
-
-
-def test_async_pipeline_partial_drain(client):
-    for _ in range(3):
-        client.submit(MessageType.NOOP, {})
-    assert client.drain(max_responses=2) == 2
-    assert client.pending_count == 1
-
-
-def test_async_failure_recorded_not_raised(client):
-    pending = client.submit(MessageType.GET, {"key": b"missing"})
-    client.drain()
-    assert pending.done
-    assert pending.response.status == StatusCode.NOT_FOUND
 
 
 def test_wire_accounting(client):

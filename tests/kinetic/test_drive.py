@@ -171,6 +171,18 @@ def test_bad_hmac_rejected(drive):
     assert drive.stats.auth_failures == 1
 
 
+def test_flipped_value_byte_in_frame_rejected(drive):
+    body = {"key": b"k", "value": b"payload", "db_version": b"", "force": False}
+    frame = bytearray(_request(MessageType.PUT, body).encode())
+    frame[frame.rindex(b"payload")] ^= 0x01
+    request = Message.decode(bytes(frame))
+    assert request.body["value"] == b"qayload"
+    response = drive.handle(request)
+    assert response.status == StatusCode.HMAC_FAILURE
+    assert drive.stats.auth_failures == 1
+    assert drive.key_count == 0
+
+
 def test_unknown_identity_rejected(drive):
     request = _request(MessageType.GET, {"key": b"k"}, identity="stranger")
     assert drive.handle(request).status == StatusCode.HMAC_FAILURE

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.errors import KineticError
 from repro.kinetic.protocol import (
+    MAX_LIST_DEPTH,
     Message,
     MessageType,
     StatusCode,
@@ -13,6 +14,7 @@ from repro.kinetic.protocol import (
     encode_fields,
     response_type,
 )
+from repro.util.varint import encode_varint
 
 
 def test_field_roundtrip_all_types():
@@ -108,6 +110,51 @@ def test_hmac_covers_sequence():
     assert not message.verify(b"secret")
 
 
+def _nested(depth):
+    value = None
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+def test_list_nesting_cap_roundtrips_at_limit():
+    fields = {"deep": _nested(MAX_LIST_DEPTH)}
+    assert decode_fields(encode_fields(fields)) == fields
+
+
+def test_encoder_refuses_lists_past_cap():
+    with pytest.raises(KineticError, match="nest"):
+        encode_fields({"deep": _nested(MAX_LIST_DEPTH + 1)})
+
+
+def _deep_command(depth=5000):
+    """A ~10 KB command of ``depth`` nested one-element lists."""
+    return b"\x01\x01x" + b"\x03\x01" * depth + b"\x04"
+
+
+def test_deeply_nested_frame_rejected():
+    command = _deep_command()
+    frame = b"K" + encode_varint(len(command)) + command + b"\x00"
+    with pytest.raises(KineticError, match="nest"):
+        decode_fields(command)
+    with pytest.raises(KineticError, match="nest"):
+        Message.decode(frame)
+
+
+def _with_sequence(frame, sequence):
+    """``frame`` with its one-byte sequence varint replaced."""
+    at = frame.index(b"_sequence") + len(b"_sequence") + 1  # skip type
+    return frame[:at] + bytes([sequence]) + frame[at + 1:]
+
+
+def test_edited_sequence_in_frame_fails_verify():
+    frame = _message().sign(b"secret").encode()
+    assert Message.decode(_with_sequence(frame, 7)).verify(b"secret")
+    edited = Message.decode(_with_sequence(frame, 99))
+    assert edited.sequence == 99
+    assert not edited.verify(b"secret")
+
+
 def test_bad_magic_rejected():
     message = _message().sign(b"k")
     with pytest.raises(KineticError):
@@ -154,7 +201,3 @@ def test_error_response_not_ok():
     )
     assert not response.ok
     assert response.status_message == "missing"
-
-
-def test_wire_size_positive():
-    assert _message().sign(b"k").wire_size() > 0

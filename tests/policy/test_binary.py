@@ -112,6 +112,14 @@ def test_malformed_blob_rejected_at_load(mutate):
         CompiledPolicy.from_bytes(_reencoded(mutate))
 
 
+def test_deeply_nested_blob_rejected():
+    # ~10 KB of nested one-element lists: past the codec's list-depth
+    # cap, so the loader reports a format error, not a RecursionError.
+    blob = b"\x01\x01x" + b"\x03\x01" * 5000 + b"\x04"
+    with pytest.raises(PolicyFormatError):
+        CompiledPolicy.from_bytes(blob)
+
+
 def test_wrong_version_rejected():
     from repro.kinetic.protocol import decode_fields, encode_fields
 
